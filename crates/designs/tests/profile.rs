@@ -1,7 +1,6 @@
 //! Acceptance tests for the simulator profiler (`Sim::enable_profile` /
-//! `BatchSim::enable_profile`): the sharded engines must attribute work to
-//! shards without changing the totals — per-shard eval counts sum to the
-//! sequential engine's, cell-kind by cell-kind — and batch profiles must
+//! `BatchSim::enable_profile`): counts must account for every settle,
+//! tick and cell eval, cell-kind by cell-kind, and batch profiles must
 //! report lane occupancy.
 
 use fil_bits::Value;
@@ -19,18 +18,8 @@ fn stim(t: u64, i: u64, width: u32) -> Value {
     Value::from_u64(64.min(width), x ^ (x >> 31)).resize(width)
 }
 
-/// Signal→shard assignment the auto-partitioner would never produce:
-/// round-robin over k shards, so every settle does real cross-shard work.
-fn round_robin(netlist: &Netlist, k: u32) -> Vec<u32> {
-    (0..netlist.signals().len() as u32).map(|i| i % k).collect()
-}
-
-fn run_profiled(
-    netlist: &Netlist,
-    mut sim: Sim<'_>,
-    cycles: u64,
-    force_full: bool,
-) -> ProfileReport {
+fn run_profiled(netlist: &Netlist, cycles: u64, force_full: bool) -> ProfileReport {
+    let mut sim = Sim::new(netlist).unwrap();
     sim.set_force_full_settle(force_full);
     sim.enable_profile();
     let inputs: Vec<_> = netlist.inputs().collect();
@@ -44,138 +33,62 @@ fn run_profiled(
     sim.profile().expect("profiling was enabled")
 }
 
-/// The PR's acceptance design: Systolic[8, 32]. Under force-full settles
-/// every engine evaluates every cell once per settle, so the sharded
-/// per-shard and per-CellKind totals sum to exactly the sequential
-/// sim's. In the default change-propagating mode the sharded engine may
-/// do (and count) *extra* comb evals — cross-shard transients re-dirty
-/// remote readers the glitch-free sequential pass never visits — so
-/// there the counts are bounded below by the sequential ones, never
-/// under-reported.
+/// Cells of each kind in the netlist, as `ProfileReport::kind_evals` labels
+/// them.
+fn cells_of_kind(netlist: &Netlist, kind: &str) -> u64 {
+    netlist
+        .cells()
+        .iter()
+        .filter(|c| c.kind.label() == kind)
+        .count() as u64
+}
+
+/// Systolic[8, 32]: every settle and tick is counted, the per-kind counts
+/// add up to the total, and under force-full settles every cell is
+/// evaluated exactly once per settle, kind by kind.
 #[test]
-fn systolic8_sharded_totals_match_sequential() {
+fn systolic8_totals_add_up() {
     let n = build(&fil_designs::systolic::source(8, 32), "Sys8");
     let cycles = 24;
-    let reference = run_profiled(&n, Sim::new(&n).unwrap(), cycles, false);
+    let reference = run_profiled(&n, cycles, false);
     assert_eq!(reference.settles, cycles);
     assert_eq!(reference.ticks, cycles);
     assert!(reference.total_evals > 0);
-    assert_eq!(reference.shard_evals.len(), 1);
     assert_eq!(
-        reference.shard_evals.iter().sum::<u64>(),
+        reference.kind_evals.iter().map(|(_, e)| e).sum::<u64>(),
         reference.total_evals
     );
-    // The histogram must account for every settle (sequential: all 1-round).
-    assert_eq!(reference.round_hist.iter().sum::<u64>(), cycles);
-    assert_eq!(reference.round_hist[0], cycles);
-    let ff_reference = run_profiled(&n, Sim::new(&n).unwrap(), cycles, true);
+    let ff_reference = run_profiled(&n, cycles, true);
     assert_eq!(
         ff_reference.total_evals,
         n.cells().len() as u64 * cycles,
         "force-full: every cell, every settle"
     );
-
-    for k in [2, 4] {
-        let part = round_robin(&n, k);
-        let sim = Sim::new_with_partition(&n, &part).unwrap();
-        assert!(sim.jobs() > 1, "round-robin partition must shard");
-
-        // Exactness: force-full sharded totals equal sequential, per kind.
-        let ff = run_profiled(
-            &n,
-            Sim::new_with_partition(&n, &part).unwrap(),
-            cycles,
-            true,
-        );
+    for (kind, evals) in &ff_reference.kind_evals {
         assert_eq!(
-            ff.total_evals, ff_reference.total_evals,
-            "j{k} force-full: sharded eval total diverges from sequential"
+            *evals,
+            cells_of_kind(&n, kind) * cycles,
+            "force-full: {kind} evals"
         );
-        assert_eq!(
-            ff.kind_evals, ff_reference.kind_evals,
-            "j{k} force-full: per-CellKind totals diverge from sequential"
-        );
-        assert_eq!(
-            ff.shard_evals.iter().sum::<u64>(),
-            ff.total_evals,
-            "j{k} force-full: per-shard counts must sum to the total"
-        );
-        let active = ff.shard_evals.iter().filter(|&&e| e > 0).count();
+    }
+    // Change propagation only ever skips work.
+    for (kind, evals) in &reference.kind_evals {
         assert!(
-            active > 1,
-            "j{k}: round-robin sharding must spread evals, got {:?}",
-            ff.shard_evals
+            *evals <= cells_of_kind(&n, kind) * cycles,
+            "{kind} over-counted"
         );
-
-        // Change-propagating: work is attributed, never under-reported.
-        let sharded = run_profiled(&n, sim, cycles, false);
-        assert_eq!(
-            sharded.shard_evals.iter().sum::<u64>(),
-            sharded.total_evals,
-            "j{k}: per-shard counts must sum to the total"
-        );
-        assert!(
-            sharded.total_evals >= reference.total_evals,
-            "j{k}: sharded engine cannot do less work than sequential"
-        );
-        for (kind, n_seq) in &reference.kind_evals {
-            let n_shd = sharded
-                .kind_evals
-                .iter()
-                .find(|(l, _)| l == kind)
-                .map_or(0, |(_, n)| *n);
-            assert!(
-                n_shd >= *n_seq,
-                "j{k}: {kind} under-reported ({n_shd} < {n_seq})"
-            );
-        }
-        // Sequential (registered) cells have no cross-shard transients:
-        // their counts are exactly the sequential engine's.
-        for kind in ["Reg", "ShiftFsm"] {
-            let get = |r: &ProfileReport| {
-                r.kind_evals
-                    .iter()
-                    .find(|(l, _)| *l == kind)
-                    .map_or(0, |(_, n)| *n)
-            };
-            assert_eq!(get(&sharded), get(&reference), "j{k}: {kind} diverged");
-        }
-        assert_eq!(sharded.round_hist.iter().sum::<u64>(), cycles);
-        assert_eq!(sharded.settles, cycles);
-        assert_eq!(sharded.ticks, cycles);
     }
 }
 
 /// Force-full settles evaluate every cell once per settle, so the totals
-/// are exactly `cells × settles` — and still engine-independent.
+/// are exactly `cells × settles`.
 #[test]
 fn force_full_totals_are_exact() {
     let n = build(&fil_designs::systolic::source(4, 32), "Sys4");
     let cycles = 8;
-    let mut seq = Sim::new(&n).unwrap();
-    seq.set_force_full_settle(true);
-    seq.enable_profile();
-    let part = round_robin(&n, 3);
-    let mut shd = Sim::new_with_partition(&n, &part).unwrap();
-    shd.set_force_full_settle(true);
-    shd.enable_profile();
-    let inputs: Vec<_> = n.inputs().collect();
-    for t in 0..cycles {
-        for (i, &sig) in inputs.iter().enumerate() {
-            let v = stim(t, i as u64, n.signal(sig).width);
-            seq.poke(sig, v.clone());
-            shd.poke(sig, v);
-        }
-        seq.settle().unwrap();
-        shd.settle().unwrap();
-        seq.tick().unwrap();
-        shd.tick().unwrap();
-    }
-    let rs = seq.profile().unwrap();
-    let rp = shd.profile().unwrap();
-    assert_eq!(rs.total_evals, n.cells().len() as u64 * cycles);
-    assert_eq!(rp.total_evals, rs.total_evals);
-    assert_eq!(rp.kind_evals, rs.kind_evals);
+    let report = run_profiled(&n, cycles, true);
+    assert_eq!(report.settles, cycles);
+    assert_eq!(report.total_evals, n.cells().len() as u64 * cycles);
 }
 
 /// A never-profiled sim exposes no report; enabling mid-run starts

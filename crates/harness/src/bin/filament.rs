@@ -33,13 +33,14 @@
 //! stimulus (one transaction every `delay` cycles, per the component's
 //! timeline signature): `--vcd` dumps an IEEE 1364 waveform of the
 //! top-level ports, `--profile` prints the simulator's hot-path profile
-//! (settle rounds, per-shard work, evals by cell kind).
+//! (settles, ticks, evals by cell kind). `--jobs` parallelizes the build;
+//! the simulation itself runs on one thread.
 //!
 //! `fuzz` runs the generative differential fuzzer: seeded random
 //! parametric programs through the multi-stage oracle (fmt fixpoint,
 //! build determinism, artifact cache, serve daemon, interpreter-vs-Sim
-//! lockstep, BatchSim, sharded settle), shrinking any violation to a
-//! minimal `.fil` repro. `--replay FILE` re-checks a saved repro,
+//! lockstep, BatchSim, `-O2` vs `-O0` lockstep), shrinking any violation
+//! to a minimal `.fil` repro. `--replay FILE` re-checks a saved repro,
 //! `--selftest` proves an injected oracle violation is caught and shrunk.
 //!
 //! `serve` starts the compile-farm daemon on a unix socket: it keeps the
@@ -411,7 +412,7 @@ fn run_sim(file: &str, comp: &str, flags: &Flags) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut sim = match rtl_sim::Sim::new_with_jobs(&netlist, flags.opts.jobs.max(1)) {
+    let mut sim = match rtl_sim::Sim::new(&netlist) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -504,7 +505,8 @@ fn run_sim(file: &str, comp: &str, flags: &Flags) -> ExitCode {
     let level = flags.opt_level.unwrap_or(1);
     if out.stats.opt.cells_before > 0 {
         eprintln!(
-            "netlist: {} cells at -O{level} (optimizer: {} -> {} cells, {} rewrites)",
+            "netlist: {} elaborated cells at -O{level} \
+             (optimizer, per component: {} -> {} cells, {} rewrites)",
             netlist.cells().len(),
             out.stats.opt.cells_before,
             out.stats.opt.cells_after,
@@ -513,7 +515,10 @@ fn run_sim(file: &str, comp: &str, flags: &Flags) -> ExitCode {
     } else {
         // -O0, or every unit replayed from the artifact cache (already
         // stored in optimized form).
-        eprintln!("netlist: {} cells at -O{level}", netlist.cells().len());
+        eprintln!(
+            "netlist: {} elaborated cells at -O{level}",
+            netlist.cells().len()
+        );
     }
     if flags.profile {
         if let Some(report) = sim.profile() {

@@ -10,7 +10,7 @@
 //!   Filament programs,
 //! * [`oracle`] — the multi-stage cross-check pipeline run over each
 //!   generated program (pretty→parse fixpoint, build determinism,
-//!   interpreter-vs-simulator lockstep, scalar vs batch vs sharded,
+//!   interpreter-vs-simulator lockstep, scalar vs batch,
 //!   `-O2`-optimized vs `-O0` netlist lockstep),
 //! * [`shrink`] — AST-level reduction of failing programs to minimal
 //!   `.fil` repros,
